@@ -31,6 +31,10 @@ step reopen cargo test -q --test reopen
 step fault-injection cargo test -q --test fault_injection
 step snapshot-isolation cargo test -q --test snapshot_isolation
 step sql-equivalence cargo test -q --test sql_equivalence
+# The repository benchmark's smoke tests: every workload at tiny sizes, each
+# answer checked against the LP oracle. The benchmark is its own package,
+# so the workspace tests above do not build it.
+step perfbench cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # End-to-end health check: build a small database with the shell, then
 # verify every page checksum through `cdb fsck` (read-only and repair
@@ -455,9 +459,11 @@ shard_smoke() {
     || { die "cluster stats is missing a follower row"; return 1; }
 
   # SIGKILL shard 0's primary: merged reads ride through its follower.
+  # (Full-read greps below, not -q: quitting at the first line would
+  # SIGPIPE the client mid-output, and pipefail would fail the read.)
   kill -9 "$p0pid"
   TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep -q '^16 matches' \
+    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
     || { die "reads failed with one shard primary down"; return 1; }
 
   # Same-port restart with the same --shard flags (the spec in the file's
@@ -473,13 +479,13 @@ shard_smoke() {
   done
   [ -n "$raddr" ] || { die "restarted shard primary never came up"; return 1; }
   TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep -q '^16 matches' \
+    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
     || { die "restart lost acknowledged writes"; return 1; }
   TERM= ./target/release/cdb-client --shards "$spec" \
     insert parcels 'y >= 0 && y <= 1 && x >= 90 && x <= 91' >/dev/null \
     || { die "write after shard restart failed"; return 1; }
   TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep -q '^17 matches' \
+    exist parcels 'y >= -1000000' | grep '^17 matches' >/dev/null \
     || { die "post-restart write is not visible"; return 1; }
 
   # Graceful teardown of every member, then offline fsck of every file.

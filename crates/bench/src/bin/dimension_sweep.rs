@@ -108,8 +108,8 @@ fn main() {
             let want: Vec<u32> = pairs
                 .iter()
                 .filter(|(_, t)| match kind {
-                    SelectionKind::All => predicates::all(&sel.halfplane, t),
-                    SelectionKind::Exist => predicates::exist(&sel.halfplane, t),
+                    SelectionKind::All => predicates::lp::all(&sel.halfplane, t),
+                    SelectionKind::Exist => predicates::lp::exist(&sel.halfplane, t),
                 })
                 .map(|(id, _)| *id)
                 .collect();

@@ -94,7 +94,7 @@ fn main() {
                 .expect("query");
             let want: Vec<u32> = pairs
                 .iter()
-                .filter(|(_, t)| predicates::exist(&q, t))
+                .filter(|(_, t)| predicates::lp::exist(&q, t))
                 .map(|(id, _)| *id)
                 .collect();
             assert_eq!(got.ids(), want, "index correct after update storm");

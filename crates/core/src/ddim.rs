@@ -767,8 +767,8 @@ mod tests {
         pairs
             .iter()
             .filter(|(_, t)| match sel.kind {
-                SelectionKind::All => predicates::all(&sel.halfplane, t),
-                SelectionKind::Exist => predicates::exist(&sel.halfplane, t),
+                SelectionKind::All => predicates::lp::all(&sel.halfplane, t),
+                SelectionKind::Exist => predicates::lp::exist(&sel.halfplane, t),
             })
             .map(|(id, _)| *id)
             .collect()

@@ -555,7 +555,8 @@ pub(crate) fn fold_high(
 
 /// Exact refinement: fetches the candidates (batched by the source, so the
 /// cost is one page access per distinct heap page) and keeps those
-/// satisfying the original selection (Proposition 2.2 evaluated by LP).
+/// satisfying the original selection (Proposition 2.2, with `TOP`/`BOT`
+/// read off each tuple's vertices).
 pub(crate) fn refine(
     pager: &dyn PageReader,
     sel: &Selection,
@@ -902,9 +903,11 @@ mod tests {
                     .iter()
                     .filter(|(_, t)| match kind {
                         SelectionKind::Exist => {
-                            cdb_geometry::predicates::exist_hyperplane(&[a], c, t)
+                            cdb_geometry::predicates::lp::exist_hyperplane(&[a], c, t)
                         }
-                        SelectionKind::All => cdb_geometry::predicates::all_hyperplane(&[a], c, t),
+                        SelectionKind::All => {
+                            cdb_geometry::predicates::lp::all_hyperplane(&[a], c, t)
+                        }
                     })
                     .map(|(id, _)| *id)
                     .collect();

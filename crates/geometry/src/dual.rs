@@ -15,10 +15,15 @@
 //!
 //! Equivalently `TOP_P(b) = sup {x_d − b·x' : x ∈ P}` (and `BOT` the `inf`),
 //! which is how this module evaluates them — as linear programs — so that
-//! *unbounded* polyhedra yield `±∞` with no special casing. `TOP_P` is convex
-//! and `BOT_P` concave in the slope; therefore their extrema over a slope
-//! segment are attained at the segment endpoints, which is exactly what the
-//! T2 handicap computation needs.
+//! *unbounded* polyhedra yield `±∞` with no special casing, in any
+//! dimension. `TOP_P` is convex and `BOT_P` concave in the slope; therefore
+//! their extrema over a slope segment are attained at the segment
+//! endpoints, which is exactly what the T2 handicap computation needs.
+//!
+//! These LP evaluators compute the index keys and handicaps, and they are
+//! the reference for the refinement step. Refinement itself reads 2-D
+//! surfaces off the tuple's vertices ([`crate::envelope`]) and comes back
+//! here only for shapes that kernel cannot decide.
 
 use crate::halfplane::HalfPlane;
 use crate::simplex::LpResult;

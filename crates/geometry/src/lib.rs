@@ -13,13 +13,17 @@
 //! * [`dual`] — the point/hyperplane dual transform and the `TOP_P`/`BOT_P`
 //!   surfaces of Section 2.1, evaluated exactly through linear programming so
 //!   that unbounded polyhedra (values `±∞`) need no special casing;
+//! * [`envelope`] — the same surfaces of a 2-D tuple read off its vertices
+//!   and recession rays, allocation-free, deferring to the LP only for
+//!   shapes it cannot decide: the refinement kernel;
 //! * [`simplex`] — a small, dependency-free two-phase simplex solver used as
 //!   the exact evaluation engine;
 //! * [`polygon`] — an explicit 2-D vertex/ray representation with half-plane
 //!   intersection, used by workload generation, the R⁺-tree baseline and as an
 //!   independent cross-check of the LP path;
 //! * [`predicates`] — the exact `ALL`/`EXIST` selection predicates of
-//!   Proposition 2.2, used as the refinement step and as the test oracle;
+//!   Proposition 2.2, used as the refinement step; their pure-LP twins in
+//!   [`predicates::lp`] are the test oracle;
 //! * [`vertex_enum`] — brute-force vertex/ray enumeration in `E^d` for
 //!   cross-validation of the LP evaluator;
 //! * [`parse`] — a tiny text syntax for constraints and tuples used by the
@@ -31,6 +35,7 @@
 pub mod constraint;
 pub mod dual;
 pub mod eliminate;
+pub mod envelope;
 pub mod halfplane;
 pub mod parse;
 pub mod polygon;

@@ -42,14 +42,14 @@ impl std::error::Error for ParseError {}
 ///
 /// The dimension is the largest variable index mentioned (at least 1).
 pub fn parse_tuple(input: &str) -> Result<GeneralizedTuple, ParseError> {
-    let mut constraints: Vec<ParsedParts> = Vec::new();
+    let mut constraints = Vec::new();
     let mut max_var = 0usize;
-    for part in split_conjuncts(input) {
-        let (terms, constant, op, eq) = parse_one(part.0, part.1)?;
+    for (part, offset) in split_conjuncts(input) {
+        let (terms, constant, op, eq) = parse_one(part, offset)?;
         for (v, _) in &terms {
             max_var = max_var.max(*v + 1);
         }
-        constraints.push((terms, constant, op, eq));
+        constraints.push((terms, constant, op, eq, offset));
     }
     if constraints.is_empty() {
         return Err(ParseError {
@@ -59,10 +59,14 @@ pub fn parse_tuple(input: &str) -> Result<GeneralizedTuple, ParseError> {
     }
     let dim = max_var.max(1);
     let mut out = Vec::new();
-    for (terms, constant, op, eq) in constraints {
+    for (terms, constant, op, eq, offset) in constraints {
         let mut coeffs = vec![0.0; dim];
         for (v, c) in terms {
             coeffs[v] += c;
+        }
+        // Finite literals can still sum past the largest `f64`.
+        if !(constant.is_finite() && coeffs.iter().all(|c| c.is_finite())) {
+            return Err(out_of_range(offset));
         }
         if eq {
             let [a, b] = LinearConstraint::equality_pair(coeffs, constant);
@@ -73,6 +77,14 @@ pub fn parse_tuple(input: &str) -> Result<GeneralizedTuple, ParseError> {
         }
     }
     Ok(GeneralizedTuple::new(out))
+}
+
+/// The error for a number no `f64` holds; the SQL lexer uses the same text.
+fn out_of_range(offset: usize) -> ParseError {
+    ParseError {
+        message: "number out of range".into(),
+        offset,
+    }
 }
 
 /// Parses a single constraint. Equality inputs are rejected here (they
@@ -185,6 +197,9 @@ fn parse_expr(s: &str, base: usize) -> Result<(Vec<(usize, f64)>, f64), ParseErr
                 message: format!("bad number '{}'", &s[start..i]),
                 offset: base + start,
             })?;
+            if !num.is_finite() {
+                return Err(out_of_range(base + start));
+            }
             // Optional "*" then optional variable.
             let mut j = i;
             while j < bytes.len() && bytes[j].is_ascii_whitespace() {
@@ -381,6 +396,26 @@ mod tests {
         assert_eq!(c.dim(), 2);
         assert!(parse_constraint("x = 1").is_err(), "equalities are pairs");
         assert!(parse_constraint("x >= 1 && y >= 1").is_err());
+    }
+
+    #[test]
+    fn huge_literals_are_out_of_range_not_a_panic() {
+        let nines = "9".repeat(400);
+        for input in [
+            format!("y >= {nines}"),
+            format!("{nines}x + y <= 1"),
+            format!("x >= 1 && y <= {nines}.5"),
+        ] {
+            let e = parse_tuple(&input).unwrap_err();
+            assert_eq!(e.message, "number out of range", "{input}");
+        }
+        // Each literal is finite, but their sum is not.
+        let big = format!("1{}", "0".repeat(308));
+        let e = parse_tuple(&format!("x >= 0 && y >= {big} + {big}")).unwrap_err();
+        assert_eq!(e.message, "number out of range");
+        assert_eq!(e.offset, 9, "points at the offending conjunct");
+        let e = parse_tuple(&format!("{big}x + {big}x >= 1")).unwrap_err();
+        assert_eq!(e.message, "number out of range");
     }
 
     #[test]

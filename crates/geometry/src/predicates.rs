@@ -1,9 +1,9 @@
 //! Exact `ALL`/`EXIST` selection predicates (Proposition 2.2).
 //!
 //! These predicates are the *refinement step* of the approximation
-//! techniques (they discard false hits exactly) and double as the oracle for
-//! every test in the workspace. They are evaluated through the `TOP`/`BOT`
-//! surfaces, so finite and infinite tuples are handled uniformly:
+//! techniques: they discard false hits exactly. They are evaluated through
+//! the `TOP`/`BOT` surfaces, so finite and infinite tuples are handled
+//! uniformly:
 //!
 //! | selection      | holds iff                       |
 //! |----------------|---------------------------------|
@@ -15,12 +15,23 @@
 //! Both query and tuple extensions are closed sets, so boundary contact
 //! counts as intersection and containment admits touching boundaries —
 //! hence the non-strict comparisons.
+//!
+//! The top-level predicates read the surfaces off the tuple's vertices
+//! ([`crate::envelope`]), which falls back to linear programs only for
+//! shapes it cannot decide. The same predicates evaluated purely by LP
+//! ([`crate::dual`]) live in [`lp`]: they are the independent oracle that
+//! [`oracle_select`] and the equivalence suites compare against.
 
 use crate::constraint::RelOp;
-use crate::dual;
+use crate::dual::{self, DualValue};
+use crate::envelope;
 use crate::halfplane::HalfPlane;
-use crate::scalar::{approx_ge, approx_le};
+use crate::scalar::{approx_eq, approx_ge, approx_le};
 use crate::tuple::GeneralizedTuple;
+
+/// A `TOP`/`BOT` evaluator with the contract of [`dual::top`]: `None` for
+/// an empty extension, `±∞` when unbounded.
+type SurfaceFn = fn(&GeneralizedTuple, &[f64]) -> Option<DualValue>;
 
 /// `true` iff the extension of `tuple` is contained in the half-plane `q`.
 ///
@@ -28,32 +39,12 @@ use crate::tuple::GeneralizedTuple;
 /// query; the index layer filters empty tuples at insert time, but the
 /// predicate is total.
 pub fn all(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
-    assert_eq!(q.dim(), tuple.dim(), "query/tuple dimension mismatch");
-    match q.op {
-        RelOp::Ge => match dual::bot(tuple, &q.slope) {
-            None => true, // empty extension: vacuous containment
-            Some(b) => approx_le(q.intercept, b),
-        },
-        RelOp::Le => match dual::top(tuple, &q.slope) {
-            None => true,
-            Some(t) => approx_ge(q.intercept, t),
-        },
-    }
+    all_by(q, tuple, envelope::top, envelope::bot)
 }
 
 /// `true` iff the extension of `tuple` intersects the half-plane `q`.
 pub fn exist(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
-    assert_eq!(q.dim(), tuple.dim(), "query/tuple dimension mismatch");
-    match q.op {
-        RelOp::Ge => match dual::top(tuple, &q.slope) {
-            None => false, // empty extension intersects nothing
-            Some(t) => approx_le(q.intercept, t),
-        },
-        RelOp::Le => match dual::bot(tuple, &q.slope) {
-            None => false,
-            Some(b) => approx_ge(q.intercept, b),
-        },
-    }
+    exist_by(q, tuple, envelope::top, envelope::bot)
 }
 
 /// `true` iff the extension of `tuple` intersects the *hyperplane*
@@ -61,25 +52,101 @@ pub fn exist(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
 /// footnote 2 (`θ ∈ {=}`): the line touches `P` iff its intercept lies in
 /// `[BOT_P(slope), TOP_P(slope)]` (continuity of the touching intercepts).
 pub fn exist_hyperplane(slope: &[f64], c: f64, tuple: &GeneralizedTuple) -> bool {
-    match (dual::bot(tuple, slope), dual::top(tuple, slope)) {
-        (Some(b), Some(t)) => approx_le(b, c) && approx_le(c, t),
-        _ => false, // empty extension
-    }
+    exist_hyperplane_by(slope, c, tuple, envelope::top, envelope::bot)
 }
 
 /// `true` iff the extension of `tuple` is contained in the hyperplane
 /// `x_d = slope·x' + c`: both surfaces collapse onto the intercept
 /// (a degenerate, flat polyhedron lying inside the hyperplane).
 pub fn all_hyperplane(slope: &[f64], c: f64, tuple: &GeneralizedTuple) -> bool {
-    match (dual::bot(tuple, slope), dual::top(tuple, slope)) {
-        (Some(b), Some(t)) => crate::scalar::approx_eq(b, c) && crate::scalar::approx_eq(t, c),
+    all_hyperplane_by(slope, c, tuple, envelope::top, envelope::bot)
+}
+
+/// The four predicates evaluated purely by linear programming
+/// ([`dual::top`]/[`dual::bot`]): the reference the vertex kernel is
+/// pinned to.
+pub mod lp {
+    use super::*;
+
+    /// [`super::all`] by LP.
+    pub fn all(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
+        all_by(q, tuple, dual::top, dual::bot)
+    }
+
+    /// [`super::exist`] by LP.
+    pub fn exist(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
+        exist_by(q, tuple, dual::top, dual::bot)
+    }
+
+    /// [`super::exist_hyperplane`] by LP.
+    pub fn exist_hyperplane(slope: &[f64], c: f64, tuple: &GeneralizedTuple) -> bool {
+        exist_hyperplane_by(slope, c, tuple, dual::top, dual::bot)
+    }
+
+    /// [`super::all_hyperplane`] by LP.
+    pub fn all_hyperplane(slope: &[f64], c: f64, tuple: &GeneralizedTuple) -> bool {
+        all_hyperplane_by(slope, c, tuple, dual::top, dual::bot)
+    }
+}
+
+fn all_by(q: &HalfPlane, tuple: &GeneralizedTuple, top: SurfaceFn, bot: SurfaceFn) -> bool {
+    assert_eq!(q.dim(), tuple.dim(), "query/tuple dimension mismatch");
+    match q.op {
+        RelOp::Ge => match bot(tuple, &q.slope) {
+            None => true, // empty extension: vacuous containment
+            Some(b) => approx_le(q.intercept, b),
+        },
+        RelOp::Le => match top(tuple, &q.slope) {
+            None => true,
+            Some(t) => approx_ge(q.intercept, t),
+        },
+    }
+}
+
+fn exist_by(q: &HalfPlane, tuple: &GeneralizedTuple, top: SurfaceFn, bot: SurfaceFn) -> bool {
+    assert_eq!(q.dim(), tuple.dim(), "query/tuple dimension mismatch");
+    match q.op {
+        RelOp::Ge => match top(tuple, &q.slope) {
+            None => false, // empty extension intersects nothing
+            Some(t) => approx_le(q.intercept, t),
+        },
+        RelOp::Le => match bot(tuple, &q.slope) {
+            None => false,
+            Some(b) => approx_ge(q.intercept, b),
+        },
+    }
+}
+
+fn exist_hyperplane_by(
+    slope: &[f64],
+    c: f64,
+    tuple: &GeneralizedTuple,
+    top: SurfaceFn,
+    bot: SurfaceFn,
+) -> bool {
+    match (bot(tuple, slope), top(tuple, slope)) {
+        (Some(b), Some(t)) => approx_le(b, c) && approx_le(c, t),
+        _ => false, // empty extension
+    }
+}
+
+fn all_hyperplane_by(
+    slope: &[f64],
+    c: f64,
+    tuple: &GeneralizedTuple,
+    top: SurfaceFn,
+    bot: SurfaceFn,
+) -> bool {
+    match (bot(tuple, slope), top(tuple, slope)) {
+        (Some(b), Some(t)) => approx_eq(b, c) && approx_eq(t, c),
         _ => true, // empty extension: vacuous containment
     }
 }
 
 /// Brute-force reference evaluation of a selection over a whole relation:
 /// returns the indices of the qualifying tuples. This is the oracle used by
-/// the integration and property tests and by the selectivity calibrator.
+/// the integration and property tests and by the selectivity calibrator;
+/// it evaluates by LP ([`lp`]), independently of the refinement kernel.
 pub fn oracle_select<'a, I>(q: &HalfPlane, all_query: bool, tuples: I) -> Vec<usize>
 where
     I: IntoIterator<Item = &'a GeneralizedTuple>,
@@ -87,7 +154,13 @@ where
     tuples
         .into_iter()
         .enumerate()
-        .filter(|(_, t)| if all_query { all(q, t) } else { exist(q, t) })
+        .filter(|(_, t)| {
+            if all_query {
+                lp::all(q, t)
+            } else {
+                lp::exist(q, t)
+            }
+        })
         .map(|(i, _)| i)
         .collect()
 }

@@ -17,9 +17,11 @@
 //!
 //! Every operation that touches a page is fallible: over a durable pager a
 //! read can fail with an I/O error or a checksum mismatch, and the heap
-//! propagates it instead of panicking — the heap's *own* invariants (a
-//! foreign page id, an out-of-range slot) still panic, because they are
-//! caller bugs rather than storage conditions.
+//! propagates it instead of panicking. A record id the heap cannot hold (a
+//! foreign page, an out-of-range slot) is refused the same way, with
+//! [`ErrorKind::InvalidInput`].
+
+use std::io::{Error, ErrorKind};
 
 use crate::codec::{get_u16, put_u16};
 use crate::pager::{PageId, PageReader, Pager};
@@ -40,7 +42,10 @@ pub struct RecordId {
 /// A heap file over a pager. Pages are owned exclusively by the heap.
 #[derive(Clone, Debug)]
 pub struct HeapFile {
+    /// Owned pages in insertion order.
     pages: Vec<PageId>,
+    /// The same pages in ascending order, for membership checks.
+    sorted: Vec<PageId>,
     page_size: usize,
 }
 
@@ -50,6 +55,7 @@ impl HeapFile {
         let _ = pager; // first page allocated lazily
         HeapFile {
             pages: Vec::new(),
+            sorted: Vec::new(),
             page_size: pager.page_size(),
         }
     }
@@ -57,7 +63,13 @@ impl HeapFile {
     /// Re-attaches a heap from its persisted page list (the pages must
     /// already be allocated in the pager and hold valid slotted content).
     pub fn from_pages(page_size: usize, pages: Vec<PageId>) -> Self {
-        HeapFile { pages, page_size }
+        let mut sorted = pages.clone();
+        sorted.sort_unstable();
+        HeapFile {
+            pages,
+            sorted,
+            page_size,
+        }
     }
 
     /// The page ids owned by the heap, in insertion order. This list is what
@@ -105,19 +117,21 @@ impl HeapFile {
         let slot = try_insert(&mut buf, data, self.page_size).expect("fits in a fresh page");
         pager.write(id, &buf)?;
         self.pages.push(id);
+        let at = self.sorted.partition_point(|&p| p < id);
+        self.sorted.insert(at, id);
         Ok(RecordId { page: id, slot })
     }
 
     /// Reads a record. Returns `Ok(None)` for a tombstoned slot.
     ///
-    /// # Panics
-    /// Panics if the id does not refer to a heap page/slot.
+    /// # Errors
+    /// [`ErrorKind::InvalidInput`] if the id does not refer to a page and
+    /// slot of this heap; otherwise the pager's read error.
     pub fn get(&self, pager: &dyn PageReader, id: RecordId) -> std::io::Result<Option<Vec<u8>>> {
-        assert!(self.pages.contains(&id.page), "foreign page in RecordId");
+        self.check_page(id)?;
         let mut buf = vec![0u8; self.page_size];
         pager.read(id.page, &mut buf)?;
-        let n = get_u16(&buf, 0);
-        assert!(id.slot < n, "slot {} out of range {n}", id.slot);
+        check_slot(id, &buf)?;
         let off = get_u16(&buf, HDR + id.slot as usize * SLOT) as usize;
         let len = get_u16(&buf, HDR + id.slot as usize * SLOT + 2);
         if len == TOMBSTONE {
@@ -130,6 +144,9 @@ impl HeapFile {
     /// batched fetch used by query refinement (candidates are grouped by
     /// page before reading). Results align with `ids`; tombstoned slots
     /// yield `None`.
+    ///
+    /// # Errors
+    /// As [`get`](Self::get), for the first offending id.
     pub fn get_many(
         &self,
         pager: &dyn PageReader,
@@ -142,13 +159,12 @@ impl HeapFile {
         let mut loaded: Option<PageId> = None;
         for i in order {
             let id = ids[i];
-            assert!(self.pages.contains(&id.page), "foreign page in RecordId");
             if loaded != Some(id.page) {
+                self.check_page(id)?;
                 pager.read(id.page, &mut buf)?;
                 loaded = Some(id.page);
             }
-            let n = get_u16(&buf, 0);
-            assert!(id.slot < n, "slot {} out of range {n}", id.slot);
+            check_slot(id, &buf)?;
             let off = get_u16(&buf, HDR + id.slot as usize * SLOT) as usize;
             let len = get_u16(&buf, HDR + id.slot as usize * SLOT + 2);
             if len != TOMBSTONE {
@@ -159,12 +175,14 @@ impl HeapFile {
     }
 
     /// Tombstones a record. Returns `true` if it was live.
+    ///
+    /// # Errors
+    /// As [`get`](Self::get); or the pager's write error.
     pub fn delete(&mut self, pager: &mut dyn Pager, id: RecordId) -> std::io::Result<bool> {
-        assert!(self.pages.contains(&id.page), "foreign page in RecordId");
+        self.check_page(id)?;
         let mut buf = vec![0u8; self.page_size];
         pager.read(id.page, &mut buf)?;
-        let n = get_u16(&buf, 0);
-        assert!(id.slot < n, "slot out of range");
+        check_slot(id, &buf)?;
         let len_off = HDR + id.slot as usize * SLOT + 2;
         if get_u16(&buf, len_off) == TOMBSTONE {
             return Ok(false);
@@ -201,6 +219,35 @@ impl HeapFile {
             pager.free(page);
         }
     }
+
+    /// Refuses a record id whose page this heap does not own.
+    fn check_page(&self, id: RecordId) -> std::io::Result<()> {
+        if self.sorted.binary_search(&id.page).is_ok() {
+            return Ok(());
+        }
+        Err(Error::new(
+            ErrorKind::InvalidInput,
+            format!(
+                "record id names page {}, which the heap does not own",
+                id.page
+            ),
+        ))
+    }
+}
+
+/// Refuses a record id whose slot is past the directory of its page image.
+fn check_slot(id: RecordId, buf: &[u8]) -> std::io::Result<()> {
+    let n = get_u16(buf, 0);
+    if id.slot < n {
+        return Ok(());
+    }
+    Err(Error::new(
+        ErrorKind::InvalidInput,
+        format!(
+            "record id names slot {} of page {}, which has {n}",
+            id.slot, id.page
+        ),
+    ))
 }
 
 /// Tries to append `data` to the page image; returns the new slot on success.
@@ -337,6 +384,65 @@ mod tests {
             heap.page_count(),
             "one read per distinct page"
         );
+    }
+
+    /// The kind of a refused call's error.
+    fn kind<T>(r: std::io::Result<T>) -> ErrorKind {
+        r.err().expect("the call is refused").kind()
+    }
+
+    #[test]
+    fn foreign_page_is_invalid_input() {
+        let mut pager = MemPager::new(128);
+        let mut heap = HeapFile::new(&mut pager);
+        let mut other = HeapFile::new(&mut pager);
+        heap.insert(&mut pager, b"mine").unwrap();
+        let foreign = other.insert(&mut pager, b"theirs").unwrap();
+        assert_eq!(kind(heap.get(&pager, foreign)), ErrorKind::InvalidInput);
+        assert_eq!(
+            kind(heap.get_many(&pager, &[foreign])),
+            ErrorKind::InvalidInput
+        );
+        assert_eq!(
+            kind(heap.delete(&mut pager, foreign)),
+            ErrorKind::InvalidInput
+        );
+        // The refused delete left the other heap's record alone.
+        assert_eq!(other.get(&pager, foreign).unwrap().unwrap(), b"theirs");
+    }
+
+    #[test]
+    fn out_of_range_slot_is_invalid_input() {
+        let mut pager = MemPager::new(128);
+        let mut heap = HeapFile::new(&mut pager);
+        let id = heap.insert(&mut pager, b"only").unwrap();
+        let past = RecordId {
+            page: id.page,
+            slot: id.slot + 1,
+        };
+        assert_eq!(kind(heap.get(&pager, past)), ErrorKind::InvalidInput);
+        assert_eq!(
+            kind(heap.get_many(&pager, &[id, past])),
+            ErrorKind::InvalidInput
+        );
+        assert_eq!(kind(heap.delete(&mut pager, past)), ErrorKind::InvalidInput);
+        assert_eq!(heap.get(&pager, id).unwrap().unwrap(), b"only");
+    }
+
+    #[test]
+    fn reattached_heap_checks_membership() {
+        let mut pager = MemPager::new(128);
+        let mut heap = HeapFile::new(&mut pager);
+        let ids: Vec<_> = (0..10u8)
+            .map(|i| heap.insert(&mut pager, &[i; 40]).unwrap())
+            .collect();
+        // Reattach with the persisted list in a non-ascending order.
+        let mut pages = heap.pages().to_vec();
+        pages.reverse();
+        let back = HeapFile::from_pages(128, pages);
+        for (i, id) in ids.into_iter().enumerate() {
+            assert_eq!(back.get(&pager, id).unwrap().unwrap(), vec![i as u8; 40]);
+        }
     }
 
     #[test]

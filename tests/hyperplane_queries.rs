@@ -26,8 +26,8 @@ fn oracle(pairs: &[(u32, GeneralizedTuple)], a: f64, c: f64, kind: SelectionKind
     pairs
         .iter()
         .filter(|(_, t)| match kind {
-            SelectionKind::Exist => predicates::exist_hyperplane(&[a], c, t),
-            SelectionKind::All => predicates::all_hyperplane(&[a], c, t),
+            SelectionKind::Exist => predicates::lp::exist_hyperplane(&[a], c, t),
+            SelectionKind::All => predicates::lp::all_hyperplane(&[a], c, t),
         })
         .map(|(id, _)| *id)
         .collect()

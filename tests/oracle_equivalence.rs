@@ -174,10 +174,10 @@ fn rplustree_agrees_with_dual_index_on_bounded_data() {
                 let t = &tuples[id as usize];
                 match sel.kind {
                     constraint_db::index::query::SelectionKind::All => {
-                        constraint_db::geometry::predicates::all(&q.halfplane, t)
+                        constraint_db::geometry::predicates::lp::all(&q.halfplane, t)
                     }
                     constraint_db::index::query::SelectionKind::Exist => {
-                        constraint_db::geometry::predicates::exist(&q.halfplane, t)
+                        constraint_db::geometry::predicates::lp::exist(&q.halfplane, t)
                     }
                 }
             })

@@ -1,7 +1,10 @@
 //! Direct checks of the paper's propositions, tables and counterexamples.
 
 use constraint_db::geometry::constraint::RelOp;
-use constraint_db::geometry::predicates::{all, exist};
+use constraint_db::geometry::predicates::{
+    self,
+    lp::{all, exist},
+};
 use constraint_db::geometry::{dual, HalfPlane};
 use constraint_db::prelude::*;
 
@@ -24,9 +27,17 @@ fn proposition_2_1_top_dominates_bot() {
     }
 }
 
-/// Proposition 2.2: the four threshold rules decide ALL/EXIST exactly.
+/// A selection predicate: `ALL` or `EXIST` of a half-plane on a tuple.
+type Predicate = fn(&HalfPlane, &GeneralizedTuple) -> bool;
+
+/// Proposition 2.2: the four threshold rules decide ALL/EXIST exactly, for
+/// the refinement predicates and for their LP oracle alike.
 #[test]
 fn proposition_2_2_threshold_rules() {
+    let evaluators: [(&str, Predicate, Predicate); 2] = [
+        ("kernel", predicates::all, predicates::exist),
+        ("LP", all, exist),
+    ];
     let mut g = TupleGen::new(9, Rect::paper_window(), ObjectSize::Small);
     for _ in 0..25 {
         let t = g.bounded_tuple();
@@ -34,26 +45,28 @@ fn proposition_2_2_threshold_rules() {
             let top = dual::top(&t, &[a]).unwrap();
             let bot = dual::bot(&t, &[a]).unwrap();
             for b in [bot - 1.0, bot, (bot + top) / 2.0, top, top + 1.0] {
-                assert_eq!(
-                    all(&HalfPlane::above(a, b), &t),
-                    b <= bot + 1e-9 * (1.0 + bot.abs()),
-                    "ALL(>=) at b={b} bot={bot}"
-                );
-                assert_eq!(
-                    exist(&HalfPlane::above(a, b), &t),
-                    b <= top + 1e-9 * (1.0 + top.abs()),
-                    "EXIST(>=) at b={b} top={top}"
-                );
-                assert_eq!(
-                    all(&HalfPlane::below(a, b), &t),
-                    b >= top - 1e-9 * (1.0 + top.abs()),
-                    "ALL(<=) at b={b} top={top}"
-                );
-                assert_eq!(
-                    exist(&HalfPlane::below(a, b), &t),
-                    b >= bot - 1e-9 * (1.0 + bot.abs()),
-                    "EXIST(<=) at b={b} bot={bot}"
-                );
+                for (name, all, exist) in evaluators {
+                    assert_eq!(
+                        all(&HalfPlane::above(a, b), &t),
+                        b <= bot + 1e-9 * (1.0 + bot.abs()),
+                        "{name} ALL(>=) at b={b} bot={bot}"
+                    );
+                    assert_eq!(
+                        exist(&HalfPlane::above(a, b), &t),
+                        b <= top + 1e-9 * (1.0 + top.abs()),
+                        "{name} EXIST(>=) at b={b} top={top}"
+                    );
+                    assert_eq!(
+                        all(&HalfPlane::below(a, b), &t),
+                        b >= top - 1e-9 * (1.0 + top.abs()),
+                        "{name} ALL(<=) at b={b} top={top}"
+                    );
+                    assert_eq!(
+                        exist(&HalfPlane::below(a, b), &t),
+                        b >= bot - 1e-9 * (1.0 + bot.abs()),
+                        "{name} EXIST(<=) at b={b} bot={bot}"
+                    );
+                }
             }
         }
     }

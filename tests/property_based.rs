@@ -11,7 +11,7 @@ use cdb_prng::StdRng;
 
 use constraint_db::geometry::constraint::{LinearConstraint, RelOp};
 use constraint_db::geometry::polygon::Polygon;
-use constraint_db::geometry::predicates::{all, exist};
+use constraint_db::geometry::predicates::{self, lp};
 use constraint_db::geometry::tuple::GeneralizedTuple;
 use constraint_db::geometry::{dual, HalfPlane};
 use constraint_db::index::query::Strategy as QueryStrategy;
@@ -90,6 +90,16 @@ fn top_dominates_bot() {
     }
 }
 
+/// A selection predicate: `ALL` or `EXIST` of a half-plane on a tuple.
+type Predicate = fn(&HalfPlane, &GeneralizedTuple) -> bool;
+
+/// The refinement predicates and their LP oracle: the laws below hold for
+/// both.
+const EVALUATORS: [(&str, Predicate, Predicate); 2] = [
+    ("kernel", predicates::all, predicates::exist),
+    ("LP", lp::all, lp::exist),
+];
+
 #[test]
 fn all_implies_exist() {
     for seed in 0..64u64 {
@@ -101,11 +111,13 @@ fn all_implies_exist() {
             continue;
         }
         for q in [HalfPlane::above(a, b), HalfPlane::below(a, b)] {
-            if all(&q, &t) {
-                assert!(
-                    exist(&q, &t),
-                    "seed {seed}: ALL without EXIST for {q} on {t}"
-                );
+            for (name, all, exist) in EVALUATORS {
+                if all(&q, &t) {
+                    assert!(
+                        exist(&q, &t),
+                        "seed {seed}: {name} ALL without EXIST for {q} on {t}"
+                    );
+                }
             }
         }
     }
@@ -122,17 +134,22 @@ fn complement_exhausts_plane() {
             continue;
         }
         let q = HalfPlane::above(a, b);
-        // A satisfiable tuple intersects q or its complement (or both).
-        assert!(exist(&q, &t) || exist(&q.complement(), &t), "seed {seed}");
-        // With closed half-planes, ALL(q) and ALL(¬q) can hold together only
-        // when the whole extension lies on the shared boundary line.
-        if all(&q, &t) && all(&q.complement(), &t) {
-            let top = dual::top(&t, &[a]).unwrap();
-            let bot = dual::bot(&t, &[a]).unwrap();
+        for (name, all, exist) in EVALUATORS {
+            // A satisfiable tuple intersects q or its complement (or both).
             assert!(
-                (top - b).abs() < 1e-6 && (bot - b).abs() < 1e-6,
-                "seed {seed}: extension not on the boundary"
+                exist(&q, &t) || exist(&q.complement(), &t),
+                "seed {seed}: {name}"
             );
+            // With closed half-planes, ALL(q) and ALL(¬q) can hold together
+            // only when the whole extension lies on the shared boundary line.
+            if all(&q, &t) && all(&q.complement(), &t) {
+                let top = dual::top(&t, &[a]).unwrap();
+                let bot = dual::bot(&t, &[a]).unwrap();
+                assert!(
+                    (top - b).abs() < 1e-6 && (bot - b).abs() < 1e-6,
+                    "seed {seed}: {name}: extension not on the boundary"
+                );
+            }
         }
     }
 }

@@ -132,8 +132,8 @@ fn single_constraint_sql_matches_typed_and_oracle() {
             let oracle: Vec<u32> = tuples
                 .iter()
                 .filter(|(_, t)| match kind {
-                    SelectionKind::Exist => predicates::exist(&hp, t),
-                    SelectionKind::All => predicates::all(&hp, t),
+                    SelectionKind::Exist => predicates::lp::exist(&hp, t),
+                    SelectionKind::All => predicates::lp::all(&hp, t),
                 })
                 .map(|(id, _)| *id)
                 .collect();
@@ -194,7 +194,7 @@ fn conjunction_where_matches_lp_oracle() {
                     coeffs.resize(2, 0.0);
                     let lifted = LinearConstraint::new(coeffs, c.constant, c.op);
                     match HalfPlane::from_constraint(&lifted) {
-                        Some(hp) => predicates::all(&hp, t),
+                        Some(hp) => predicates::lp::all(&hp, t),
                         // Vertical ALL: bound the support function.
                         None => {
                             use constraint_db::geometry::simplex::LpResult;
@@ -267,8 +267,8 @@ fn joins_match_cartesian_oracle() {
                     continue;
                 }
                 let keep = match kind {
-                    SelectionKind::Exist => predicates::exist(&hp, &joined),
-                    SelectionKind::All => predicates::all(&hp, &joined),
+                    SelectionKind::Exist => predicates::lp::exist(&hp, &joined),
+                    SelectionKind::All => predicates::lp::all(&hp, &joined),
                 };
                 if keep {
                     want.insert((*rid, *sid));
